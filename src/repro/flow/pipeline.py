@@ -113,10 +113,10 @@ class ArtifactCache:
 
     Keys are ``(stage name, library name, design digest, clocks key,
     input digest, options key)``; values are whatever the stage's
-    ``snapshot`` captured (typically a pristine netlist copy).  Lookups
-    are single-flight: concurrent misses on one key run the producer
-    exactly once, which is what lets a parallel ``compare_styles`` still
-    synthesize only once.
+    ``snapshot`` captured (its artifacts, plus one netlist copy for a
+    stage that rewrites the netlist).  Lookups are single-flight:
+    concurrent misses on one key run the producer exactly once, which is
+    what lets a parallel ``compare_styles`` still synthesize only once.
 
     With a ``disk`` tier (:class:`~repro.flow.diskcache.DiskCache`) the
     memory tier is layered over a persistent content-addressed store:
@@ -273,7 +273,8 @@ class Stage:
     signature from :meth:`options_key` (every concrete stage of the flow
     does, so a fully cached run is all-hit end to end; return None to
     opt out) and implementing ``snapshot``/``restore`` (the default pair
-    captures the working netlist plus declared artifacts).
+    captures the declared artifacts, plus one netlist copy when the stage
+    rewrites the netlist).
     """
 
     name: str = "stage"
@@ -284,8 +285,9 @@ class Stage:
     #: None keeps the stage out of the legacy dict (StageRecord only) and
     #: the default sentinel resolves to the stage name.
     runtime_key: str | None = _SAME_AS_NAME
-    #: False for read-only stages (lint gates): the runner reuses the
-    #: input digest as the output digest instead of re-hashing.
+    #: False for stages that never rewrite the netlist (analyses and
+    #: gates): the runner reuses the input digest as the output digest
+    #: instead of re-hashing, and the default snapshot caches no netlist.
     mutates_module: bool = True
 
     def __init__(self) -> None:
@@ -306,14 +308,23 @@ class Stage:
     # -- cache serialization -------------------------------------------------
 
     def snapshot(self, ctx: StageContext, summary: dict) -> object:
-        """Capture the stage's output for the cache (pristine copies)."""
+        """Capture the stage's output for the cache.
+
+        A rewriting stage's netlist is copied once, so the producer can
+        keep rewriting its live module in later stages without touching
+        the cached entry; a read-only stage stores no netlist at all.
+        """
         arts = {k: ctx.artifacts.get(k) for k in self.produces}
-        return (ctx.module.copy(), ctx.clocks, arts, dict(summary))
+        module = ctx.module.copy() if self.mutates_module else None
+        return (module, ctx.clocks, arts, dict(summary))
 
     def restore(self, ctx: StageContext, payload: object) -> dict[str, object]:
-        """Install a cached artifact into ``ctx``; returns the summary."""
+        """Install a cached artifact into ``ctx`` (cache hits only);
+        returns the summary.  The cached netlist is copied again so the
+        entry stays pristine for the next hit."""
         module, clocks, arts, summary = payload
-        ctx.module = module.copy()
+        if module is not None:
+            ctx.module = module.copy()
         if clocks is not None:
             ctx.clocks = clocks
         ctx.artifacts.update(arts)
@@ -322,6 +333,12 @@ class Stage:
 
 # ---------------------------------------------------------------------------
 # runner
+
+
+def _output_digest(stage: Stage, ctx: StageContext, input_digest: str) -> str:
+    """Digest of ``ctx.module`` after ``stage``; read-only stages reuse
+    their input digest instead of re-hashing."""
+    return module_digest(ctx.module) if stage.mutates_module else input_digest
 
 
 class Pipeline:
@@ -386,8 +403,10 @@ class Pipeline:
             if ctx.cache is not None and okey is not None:
                 key = (stage.name, ctx.library.name, ctx.design_digest,
                        clocks_key(ctx.clocks), input_digest, okey)
+                summary: dict[str, object] = {}
 
                 def produce() -> object:
+                    nonlocal summary
                     p0 = time.monotonic()
                     summary = stage.run(ctx)
                     producer_wall = time.monotonic() - p0
@@ -402,16 +421,26 @@ class Pipeline:
                             {stage.runtime_key: producer_wall}
                             if stage.runtime_key else {}
                         )
-                    return (stage.snapshot(ctx, summary), dict(rkeys))
+                    # the output digest rides along too, so a hit does not
+                    # re-hash the copy it restores
+                    return (stage.snapshot(ctx, summary), dict(rkeys),
+                            _output_digest(stage, ctx, input_digest))
 
                 payload, hit, lock_wait = ctx.cache.get_or_run(key, produce)
-                snap, runtime_keys = payload
-                # Producer and hit paths both restore from the snapshot, so
-                # every run sees the identical artifact regardless of which
-                # thread or process happened to populate the cache.
-                summary = stage.restore(ctx, snap)
+                snap, runtime_keys, output_digest = payload
+                # The producer keeps the live module, clocks and artifacts
+                # it just made; only a hit installs the snapshot (restore
+                # copies the cached netlist).  Both paths see the same
+                # netlist because Module.copy is faithful -- same digest,
+                # same net/instance/load iteration order, same
+                # _name_counter (tests/flow/test_pipeline.py pins it) --
+                # so results do not depend on which thread or process
+                # happened to populate the cache.
+                if hit:
+                    summary = stage.restore(ctx, snap)
             else:
                 summary = stage.run(ctx)
+                output_digest = _output_digest(stage, ctx, input_digest)
             wall = time.monotonic() - t0
             if window is not None:
                 summary = {**summary, **window.close()}
@@ -433,8 +462,6 @@ class Pipeline:
                     runtime_keys = (
                         {stage.runtime_key: wall} if stage.runtime_key else {}
                     )
-            output_digest = (input_digest if not stage.mutates_module
-                             else module_digest(ctx.module))
             ctx.module_digest = output_digest
             ctx.records.append(StageRecord(
                 stage=stage.name,
@@ -486,6 +513,7 @@ class SingleClockStage(Stage):
     name = "clocks"
     produces = ("clocks",)
     runtime_key = None  # trivial; keep the legacy runtime dict unchanged
+    mutates_module = False
 
     def options_key(self, options: "FlowOptions") -> Hashable:
         return (options.period,)
@@ -507,6 +535,7 @@ class PhaseIlpStage(Stage):
 
     name = "ilp"
     produces = ("assignment",)
+    mutates_module = False
 
     def options_key(self, options: "FlowOptions") -> Hashable:
         return (options.assign_method, options.ilp_mode,
@@ -727,15 +756,6 @@ class LintStage(Stage):
             "rules": result.rules_run,
         }
 
-    # read-only stage: snapshot only the result + summary, not the module
-    def snapshot(self, ctx: StageContext, summary: dict) -> object:
-        return (ctx.artifacts.get(self.name), dict(summary))
-
-    def restore(self, ctx: StageContext, payload: object) -> dict[str, object]:
-        result, summary = payload
-        ctx.artifacts[self.name] = result
-        return dict(summary)
-
 
 class ResizeStage(Stage):
     """Post-retiming gate downsizing (Sec. IV-C 'further optimization')."""
@@ -815,6 +835,7 @@ class StaStage(Stage):
     name = "sta"
     inputs = ("clocks", "physical")
     produces = ("timing",)
+    mutates_module = False
 
     def options_key(self, options: "FlowOptions") -> Hashable:
         return ()
@@ -888,15 +909,12 @@ class VerifyStage(Stage):
             "solver_conflicts": result.conflicts,
         }
 
-    # read-only stage: snapshot only the result + summary, not the module
-    def snapshot(self, ctx: StageContext, summary: dict) -> object:
-        return (ctx.artifacts.get("verify"), dict(summary))
 
-    def restore(self, ctx: StageContext, payload: object) -> dict[str, object]:
-        result, summary = payload
-        ctx.artifacts["verify"] = result
-        ctx.artifacts["equivalence"] = result
-        return dict(summary)
+def _stimulus_key(options: "FlowOptions") -> tuple:
+    """What the workload simulation depends on besides the netlist and
+    clocks; shared by the sim and power keys so the two cannot drift."""
+    return (options.sim_cycles, options.warmup_cycles, options.profile,
+            options.seed, options.sim_delay_model, options.sim_lanes)
 
 
 class SimulateStage(Stage):
@@ -905,10 +923,10 @@ class SimulateStage(Stage):
     name = "sim"
     inputs = ("clocks",)
     produces = ("bench",)
+    mutates_module = False
 
     def options_key(self, options: "FlowOptions") -> Hashable:
-        return (options.sim_cycles, options.warmup_cycles, options.profile,
-                options.seed, options.sim_delay_model, options.sim_lanes)
+        return _stimulus_key(options)
 
     def run(self, ctx: StageContext) -> dict[str, object]:
         from repro.sim import (
@@ -962,9 +980,12 @@ class PowerStage(Stage):
     inputs = ("bench", "physical")
     produces = ("power",)
     runtime_key = None  # the legacy flow never timed power separately
+    mutates_module = False
 
     def options_key(self, options: "FlowOptions") -> Hashable:
-        return (options.sim_cycles, options.warmup_cycles, options.period)
+        # the toggles come from the bench artifact, so the key must cover
+        # everything the simulation's key does (stimulus seed, lanes, ...)
+        return _stimulus_key(options) + (options.period,)
 
     def run(self, ctx: StageContext) -> dict[str, object]:
         from repro.power import measure_power

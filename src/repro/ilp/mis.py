@@ -81,6 +81,10 @@ class _Search:
         self.should_stop = should_stop
         self.nodes = 0
         self.exact = True
+        # a fixed visiting order for the reductions: which endpoint of a
+        # tied pendant edge is taken must not depend on set iteration
+        # order, i.e. on the process's PYTHONHASHSEED
+        self._rank = {v: i for i, v in enumerate(sorted(adj, key=str))}
 
     def _out_of_budget(self) -> bool:
         if self.nodes > self.node_limit:
@@ -108,7 +112,7 @@ class _Search:
         changed = True
         while changed:
             changed = False
-            for node in list(alive):
+            for node in sorted(alive, key=self._rank.__getitem__):
                 if node not in alive:
                     continue
                 neighbours = self.adj[node] & alive

@@ -1,6 +1,9 @@
 """Pipeline subsystem tests: staging, telemetry, caching, parallelism."""
 
 import re
+import sys
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +18,9 @@ from repro.flow import (
     module_digest,
     run_flow,
 )
-from repro.flow.pipeline import StaStage
+from repro.flow import pipeline as pipeline_mod
+from repro.flow.pipeline import StaStage, StageContext
+from repro.netlist.core import Module
 
 _DIGEST = re.compile(r"^[0-9a-f]{16}$")
 
@@ -170,6 +175,25 @@ class TestArtifactCache:
         assert warm.stats.registers == plain.stats.registers
 
 
+class TestPowerKey:
+    """Power reads the simulated toggles, so its cache key must cover the
+    stimulus: a shared cache used to hand the first run's power to every
+    later run of the same netlist with another seed or lane count."""
+
+    @pytest.mark.parametrize("style", ["ff", "3p"])
+    def test_shared_cache_matches_cold_runs(self, style):
+        design = build("s1196")
+        shared = ArtifactCache()
+        variants = [dict(seed=3), dict(seed=6), dict(seed=6, sim_lanes=64)]
+        warm, cold = [], []
+        for variant in variants:
+            opts = FlowOptions(style=style, sim_cycles=40, **variant)
+            warm.append(run_flow(design, opts, cache=shared).power.total)
+            cold.append(run_flow(design, opts).power.total)
+        assert warm == cold
+        assert len(set(cold)) == len(variants)  # each variant matters
+
+
 class TestCompareStyles:
     def test_one_synthesis_for_three_styles(self, design, options):
         cache = ArtifactCache()
@@ -190,6 +214,141 @@ class TestCompareStyles:
         cache = ArtifactCache()
         compare_styles(design, options, jobs=3, cache=cache)
         assert cache.runs("synth") == 1
+
+
+#: stages that never rewrite the netlist; every other stage does
+_READ_ONLY = {"clocks", "ilp", "verify", "sta", "sim", "power"}
+
+
+def _is_read_only(name: str) -> bool:
+    return name in _READ_ONLY or name.startswith("lint_")
+
+
+def _module_shape(module: Module) -> tuple:
+    """Everything a faithful copy must reproduce, iteration order included."""
+    return (
+        module_digest(module),
+        list(module.ports),
+        list(module.clock_ports),
+        list(module.nets),
+        list(module.instances),
+        [list(net.loads) for net in module.nets.values()],
+        module._name_counter,
+    )
+
+
+def _tamper(module: Module) -> None:
+    """Rewrite a netlist in place, as a caller of the flow might."""
+    before = module_digest(module)
+    module.remove_instance(module.combinational_instances()[0].name)
+    module.fresh_name("tampered")
+    assert module_digest(module) != before
+
+
+class TestCopyDiscipline:
+    """The artifact cache copies a netlist only when a stage rewrote it,
+    and only once: the producer keeps its live module, the snapshot takes
+    one copy, a hit restores one copy, read-only stages carry none."""
+
+    @pytest.fixture(scope="class")
+    def s1196(self):
+        return build("s1196")
+
+    def test_copies_per_executed_stage(self, s1196, options, monkeypatch):
+        copies: Counter = Counter()
+        original = Module.copy
+        run_stage = pipeline_mod.Pipeline._run_stage.__code__
+
+        def counting_copy(self, *args, **kwargs):
+            caller = sys._getframe(1)
+            # only the cache's own copies (snapshot/restore), not the ones
+            # a pass makes of its input (e.g. the conversions)
+            if caller.f_code.co_filename == pipeline_mod.__file__:
+                frame = caller
+                while frame.f_code is not run_stage:
+                    frame = frame.f_back
+                copies[(frame.f_locals["stage"].name,
+                        caller.f_code.co_name)] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Module, "copy", counting_copy)
+        comparison = compare_styles(s1196, replace(options, verify=True),
+                                    executor="serial", cache=ArtifactCache())
+        monkeypatch.undo()
+
+        expected: Counter = Counter()
+        for style in ("ff", "ms", "3p"):
+            for record in comparison.result(style).stages:
+                if not _is_read_only(record.stage):
+                    where = "restore" if record.cache_hit else "snapshot"
+                    expected[(record.stage, where)] += 1
+        assert copies == expected
+        assert expected[("synth", "snapshot")] == 1
+        assert expected[("synth", "restore")] == 2  # ms and 3p hit
+
+    @pytest.mark.parametrize("style", ["ff", "ms", "3p", "pulsed"])
+    def test_read_only_flag_matches_behaviour(self, s1196, options, style):
+        opts = replace(options, style=style, verify=True)
+        ctx = StageContext(design=s1196, module=s1196, options=opts,
+                           library=opts.library)
+        for stage in build_stages(style):
+            assert stage.mutates_module is not _is_read_only(stage.name), \
+                stage.name
+            if not stage.enabled(opts):
+                continue
+            before, digest = ctx.module, module_digest(ctx.module)
+            stage.run(ctx)
+            if not stage.mutates_module:
+                # a read-only stage's hit installs no netlist, so its
+                # producer may neither rebind nor rewrite the module
+                assert ctx.module is before, stage.name
+                assert module_digest(ctx.module) == digest, stage.name
+
+    def test_mutating_the_result_leaves_the_cache_pristine(
+            self, s1196, options):
+        opts = replace(options, style="3p")
+        cache = ArtifactCache()
+        cold = run_flow(s1196, opts, cache=cache)
+        digests = [(r.stage, r.input_digest, r.output_digest)
+                   for r in cold.stages]
+        power = cold.power.total
+        shape = _module_shape(cold.module)
+
+        def check_warm_and_tamper():
+            warm = run_flow(s1196, opts, cache=cache)
+            assert all(r.cache_hit for r in warm.stages)
+            assert [(r.stage, r.input_digest, r.output_digest)
+                    for r in warm.stages] == digests
+            assert warm.power.total == power
+            assert _module_shape(warm.module) == shape
+            _tamper(warm.module)
+
+        _tamper(cold.module)
+        check_warm_and_tamper()
+
+        # partial hits restore mid-chain snapshots that the cold run's
+        # later in-place stages (hold fix, P&R) must not have touched
+        for change in (dict(seed=2), dict(clock_uncertainty=40.0)):
+            variant = replace(opts, **change)
+            partial = run_flow(s1196, variant, cache=cache)
+            fresh = run_flow(s1196, variant)
+            assert any(r.cache_hit for r in partial.stages), change
+            assert partial.power.total == fresh.power.total, change
+            assert _module_shape(partial.module) == \
+                _module_shape(fresh.module), change
+            _tamper(partial.module)
+        check_warm_and_tamper()
+
+    def test_restored_copy_matches_live_module(self, s1196, options):
+        for style in ("ff", "ms", "3p"):
+            opts = replace(options, style=style)
+            cache = ArtifactCache()
+            live = run_flow(s1196, opts, cache=cache)
+            restored = run_flow(s1196, opts, cache=cache)
+            assert restored.stage_record("pnr").cache_hit
+            assert restored.module is not live.module
+            assert _module_shape(restored.module) == \
+                _module_shape(live.module), style
 
 
 class TestModuleDigest:

@@ -1,7 +1,12 @@
 """Maximum-independent-set solver tests."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -138,3 +143,38 @@ class TestAgainstBruteForce:
         result = max_independent_set(adj, node_limit=1)
         assert not result.exact
         assert_independent(adj, result.chosen)
+
+
+_GROUPS_PROBE = """
+import json
+from repro.circuits import build
+from repro.convert.phase_ilp import assign_phases
+from repro.library import FDSOI28
+from repro.synth import synthesize
+
+module = synthesize(build("s15850"), FDSOI28).module
+print(json.dumps(sorted(assign_phases(module).group.items())))
+"""
+
+
+class TestHashSeedIndependence:
+    """Tied pendant edges let the reduction take either endpoint; which
+    one must not follow set iteration order, or the phase assignment
+    (and the 3p netlist and power) changes from process to process."""
+
+    def _groups(self, hash_seed: str) -> list:
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", _GROUPS_PROBE],
+                             env=env, capture_output=True, text=True,
+                             timeout=300, check=True)
+        return json.loads(out.stdout)
+
+    def test_s15850_assignment_is_equal_across_hash_seeds(self):
+        first, second = self._groups("1"), self._groups("2")
+        assert first == second
+        assert any(group == 0 for _, group in first)  # non-trivial
+
