@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class CellKind(enum.Enum):
@@ -106,8 +107,11 @@ class Cell:
             raise ValueError(f"duplicate pin names in cell {self.name!r}")
 
     # -- pin role helpers ---------------------------------------------------
+    # A cell is immutable, so every derived pin view is built on first use
+    # and then read from the instance dict: these sit on the hot paths of
+    # traversal, timing and simulation compilation.
 
-    @property
+    @cached_property
     def kind(self) -> CellKind:
         if self.op in SEQ_OPS:
             return CellKind.DFF if self.op == "DFF" else CellKind.LATCH
@@ -117,16 +121,16 @@ class Cell:
             return CellKind.TIE
         return CellKind.COMB
 
-    @property
+    @cached_property
     def is_sequential(self) -> bool:
         """True for state-holding cells (FF or latch, not ICGs)."""
         return self.op in SEQ_OPS
 
-    @property
+    @cached_property
     def input_pins(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.pins if p.direction is PinDirection.INPUT)
 
-    @property
+    @cached_property
     def output_pins(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.pins if p.direction is PinDirection.OUTPUT)
 
@@ -137,14 +141,14 @@ class Cell:
             raise ValueError(f"cell {self.name!r} has {len(outs)} outputs")
         return outs[0]
 
-    @property
+    @cached_property
     def clock_pin(self) -> str | None:
         for pin in self.pins:
             if pin.is_clock:
                 return pin.name
         return None
 
-    @property
+    @cached_property
     def data_pins(self) -> tuple[str, ...]:
         """Non-clock input pins."""
         return tuple(
@@ -153,11 +157,15 @@ class Cell:
             if p.direction is PinDirection.INPUT and not p.is_clock
         )
 
+    @cached_property
+    def _pin_map(self) -> dict[str, PinSpec]:
+        return {p.name: p for p in self.pins}
+
     def pin(self, name: str) -> PinSpec:
-        for pin in self.pins:
-            if pin.name == name:
-                return pin
-        raise KeyError(f"cell {self.name!r} has no pin {name!r}")
+        try:
+            return self._pin_map[name]
+        except KeyError:
+            raise KeyError(f"cell {self.name!r} has no pin {name!r}") from None
 
     def pin_capacitance(self, name: str) -> float:
         return self.pin(name).capacitance

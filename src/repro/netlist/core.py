@@ -251,6 +251,21 @@ class Module:
                 return net
         raise NetlistError(f"output port {port!r} is not connected to any net")
 
+    def port_nets(self) -> dict[str, str]:
+        """Port -> net name for every connected port, in one pass.
+
+        Agrees with :meth:`net_of_port` on every port it lists, at the cost
+        of one scan of the nets instead of one scan per output port.  An
+        unconnected output port is left out; :meth:`net_of_port` raises
+        the diagnostic for it.
+        """
+        nets = {port: port for port in self.input_ports() if port in self.nets}
+        for net in self.nets.values():
+            for ref in net.loads:
+                if type(ref) is PortRef:
+                    nets.setdefault(ref.port, net.name)
+        return nets
+
     # -- instances ------------------------------------------------------------
 
     def add_instance(

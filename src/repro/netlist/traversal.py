@@ -179,13 +179,17 @@ def seq_fanout_map(module: Module) -> FFGraph:
 
 
 def _bit_indices(bits: int) -> list[int]:
+    """Ascending indices of the set bits of a non-negative ``bits``.
+
+    Visits only the set bits (isolate the lowest with ``bits & -bits``),
+    so a sparse mask over thousands of registers costs its popcount, not
+    its width.
+    """
     out = []
-    i = 0
     while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
     return out
 
 

@@ -39,7 +39,7 @@ simulation stages record them in their :class:`StageRecord` summaries.
 from __future__ import annotations
 
 from repro import obs
-from repro.netlist.core import Module, PortRef
+from repro.netlist.core import Module
 from repro.sim.batch import BatchKernel
 from repro.sim.kernel import CompiledKernel, SimulationError
 from repro.sim.reference import ReferenceEngine
@@ -162,13 +162,7 @@ class Simulator:
                 raise SimulationError(
                     f"{port!r} is not a port of module {self.module.name!r}"
                 )
-            for net_obj in self.module.nets.values():
-                for ref in net_obj.loads:
-                    if type(ref) is PortRef:
-                        self._port_nets.setdefault(ref.port, net_obj.name)
-            for name in self.module.input_ports():
-                if name in self.module.nets:
-                    self._port_nets.setdefault(name, name)
+            self._port_nets = self.module.port_nets()
             net = self._port_nets.get(port)
             if net is None:
                 # unconnected output port: keep net_of_port's diagnostics

@@ -21,10 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.convert.clocks import ClockSpec
-from repro.library.cell import Library
+from repro.library.cell import Cell, Library
 from repro.netlist.core import Module
-from repro.timing.graph import PI_SOURCE, PO_SINK, extract_timing_graph
+from repro.timing.graph import (
+    PI_SOURCE,
+    PO_SINK,
+    TimingGraph,
+    extract_timing_graph,
+    resweep_timing_graph,
+)
 from repro.timing.smo import effective_hold_gap
 from repro.timing.sta import _register_timings, analyze
 
@@ -54,6 +61,21 @@ def fix_holds(
     violate.  Abutted pairs derived from one FF (master/slave,
     leading/follower) share a clock point and are exempt.
     """
+    with obs.span("timing.hold_fix") as sp:
+        report = _fix_holds(module, clocks, library, clock_uncertainty,
+                            buffer_name)
+        sp.set(buffers=report.buffers_added,
+               registers=len(report.per_register))
+    return report
+
+
+def _fix_holds(
+    module: Module,
+    clocks: ClockSpec,
+    library: Library,
+    clock_uncertainty: float,
+    buffer_name: str | None,
+) -> HoldFixReport:
     report = HoldFixReport()
     buffer_cell = (library[buffer_name] if buffer_name
                    else library.cell_for_op("BUF", drive=1))
@@ -86,30 +108,54 @@ def fix_holds(
 
     for reg_name, extra in sorted(need.items()):
         reg = module.instances[reg_name]
-        d_net = reg.net_of("D")
         # Buffer delay once inserted (drives only the register's D pin).
         unit = (buffer_cell.intrinsic_delay
                 + buffer_cell.delay_per_ff * reg.cell.pin_capacitance("D"))
         count = max(1, math.ceil(extra / unit))
-        current = d_net
-        for _ in range(count):
-            buf_name = module.fresh_name(f"hold_{reg_name}_")
-            new_net = module.add_net(module.fresh_name(f"{reg_name}_hd"))
-            module.disconnect(reg_name, "D")
-            module.add_instance(
-                buf_name, buffer_cell,
-                {"A": current, "Y": new_net.name},
-                attrs={"hold_buffer": True},
-            )
-            module.connect(reg_name, "D", new_net.name)
-            current = new_net.name
-            report.buffers_added += 1
+        _pad_register(module, reg_name, buffer_cell, count)
+        report.buffers_added += count
+        for _ in range(count):  # per-cell sum: count * area rounds differently
             report.area_added += buffer_cell.area
         report.per_register[reg_name] = count
 
     if report.buffers_added:
-        after = analyze(module, clocks)
+        graph = _padded_graph(graph, module, set(need))
+        after = analyze(module, clocks, graph=graph)
         report.setup_ok_after = all(
             v.kind not in ("setup", "divergence") for v in after.violations
         )
     return report
+
+
+def _pad_register(
+    module: Module, reg_name: str, buffer_cell: Cell, count: int
+) -> None:
+    """Insert a chain of ``count`` hold buffers in front of ``reg_name``'s
+    D pin."""
+    current = module.instances[reg_name].net_of("D")
+    for _ in range(count):
+        buf_name = module.fresh_name(f"hold_{reg_name}_")
+        new_net = module.add_net(module.fresh_name(f"{reg_name}_hd"))
+        module.disconnect(reg_name, "D")
+        module.add_instance(
+            buf_name, buffer_cell,
+            {"A": current, "Y": new_net.name},
+            attrs={"hold_buffer": True},
+        )
+        module.connect(reg_name, "D", new_net.name)
+        current = new_net.name
+
+
+def _padded_graph(
+    graph: TimingGraph, module: Module, padded: set[str]
+) -> TimingGraph:
+    """``graph`` brought up to date after padding the ``padded`` registers.
+
+    Padding register ``r`` changes delays in two places only: the driver
+    of ``r``'s old D net (its load changed) and the new buffers.  Both
+    hang off that D net, so every source whose cone reaches either has an
+    edge into ``r``: sweeping exactly the sources of the padded registers'
+    fanin edges again brings every changed edge up to date.
+    """
+    sources = {edge.src for edge in graph.edges if edge.dst in padded}
+    return resweep_timing_graph(graph, module, sources)

@@ -398,11 +398,14 @@ class EquivalenceChecker:
                     detail=(f"holder {holders[orig].name!r} references "
                             f"unknown FF {orig!r}"),
                 ))
+            ff_nets = self.ff_module.port_nets()
+            conv_nets = self.conv_module.port_nets()
             for port in sorted(self.ff_module.output_ports()):
                 if port not in self.conv_module.output_ports():
                     continue  # already a violation cone from _check_interface
                 t0 = time.monotonic()
-                result.cones.append(self._output_cone(port, ff_enc, envs))
+                result.cones.append(self._output_cone(
+                    port, ff_enc, envs, ff_nets, conv_nets))
                 obs.record("verify.cone_s", time.monotonic() - t0)
             result.solver_runs = self.solver_runs
             result.cache_hits = self.cache_hits
@@ -470,12 +473,23 @@ class EquivalenceChecker:
         return cone
 
     def _output_cone(
-        self, port: str, ff_enc: _ConeEncoder, envs: dict[str, _ConeEncoder]
+        self,
+        port: str,
+        ff_enc: _ConeEncoder,
+        envs: dict[str, _ConeEncoder],
+        ff_nets: dict[str, str],
+        conv_nets: dict[str, str],
     ) -> ConeResult:
+        """Miter of output ``port``; ``*_nets`` are the sides' port_nets()."""
         name = f"out:{port}"
+        # An unconnected port is missing from the maps: net_of_port raises
+        # its diagnostic, as it always did.
+        ff_net = ff_nets.get(port) or self.ff_module.net_of_port(port).name
+        conv_net = (conv_nets.get(port)
+                    or self.conv_module.net_of_port(port).name)
         try:
-            g_ff = ff_enc.lit(self.ff_module.net_of_port(port).name)
-            g_conv = envs["out"].lit(self.conv_module.net_of_port(port).name)
+            g_ff = ff_enc.lit(ff_net)
+            g_conv = envs["out"].lit(conv_net)
         except ModelViolation as exc:
             return ConeResult(name, "violation", method="structural",
                               detail=str(exc))

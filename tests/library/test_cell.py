@@ -68,6 +68,74 @@ class TestCell:
             make_and2().pin("Z")
 
 
+class TestPrecomputedViews:
+    """Every derived pin view is built once per cell and matches a direct
+    derivation from ``pins``."""
+
+    @staticmethod
+    def _cells():
+        from repro.library.fdsoi28 import FDSOI28
+        from repro.library.generic import GENERIC
+
+        return [cell for lib in (GENERIC, FDSOI28)
+                for cell in lib.cells.values()]
+
+    def test_views_match_pins(self):
+        cells = self._cells()
+        assert cells
+        for cell in cells:
+            ins = tuple(p.name for p in cell.pins
+                        if p.direction is PinDirection.INPUT)
+            outs = tuple(p.name for p in cell.pins
+                         if p.direction is PinDirection.OUTPUT)
+            assert cell.input_pins == ins
+            assert cell.output_pins == outs
+            assert cell.data_pins == tuple(
+                p.name for p in cell.pins
+                if p.direction is PinDirection.INPUT and not p.is_clock)
+            assert cell.clock_pin == next(
+                (p.name for p in cell.pins if p.is_clock), None)
+            want_kind = {
+                "DFF": CellKind.DFF, "DLATCH": CellKind.LATCH,
+                "ICG": CellKind.ICG, "ICG_M1": CellKind.ICG,
+                "ICG_AND": CellKind.ICG, "TIE0": CellKind.TIE,
+                "TIE1": CellKind.TIE,
+            }.get(cell.op, CellKind.COMB)
+            assert cell.kind is want_kind
+            for pin in cell.pins:
+                assert cell.pin(pin.name) is pin
+                assert cell.pin_capacitance(pin.name) == pin.capacitance
+            if len(outs) == 1:
+                assert cell.output_pin == outs[0]
+
+    def test_views_built_once(self):
+        for cell in self._cells():
+            for view in ("input_pins", "output_pins", "data_pins"):
+                assert getattr(cell, view) is getattr(cell, view), view
+
+    def test_views_survive_pickling(self):
+        import pickle
+
+        cell = make_and2()
+        assert cell.input_pins == ("A", "B")  # built before pickling
+        clone = pickle.loads(pickle.dumps(cell))
+        assert clone == cell
+        assert clone.input_pins == ("A", "B")
+        assert clone.pin("B").capacitance == cell.pin("B").capacitance
+
+    @pytest.mark.parametrize("pins", [
+        (PinSpec("A", PinDirection.INPUT),
+         PinSpec("Y", PinDirection.OUTPUT),
+         PinSpec("Z", PinDirection.OUTPUT)),
+        (PinSpec("A", PinDirection.INPUT),),
+    ], ids=["two-outputs", "no-output"])
+    def test_output_pin_needs_exactly_one_output(self, pins):
+        cell = Cell(name="ODD", op="BUF", pins=pins)
+        for _ in range(2):  # the check is not cached away
+            with pytest.raises(ValueError, match="outputs"):
+                cell.output_pin
+
+
 class TestLibrary:
     def test_add_and_lookup(self):
         lib = Library("t")

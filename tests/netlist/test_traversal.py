@@ -6,6 +6,7 @@ from repro.library.generic import GENERIC
 from repro.netlist import bench
 from repro.netlist.core import Module
 from repro.netlist.traversal import (
+    _bit_indices,
     comb_topo_order,
     ff_fanout_map,
     trace_clock_root,
@@ -125,3 +126,25 @@ class TestFaninCone:
         assert all(not s27.instances[i].is_sequential for i in cone)
         assert any(s27.instances[i].net_of("Y") == "G17" for i in cone
                    if "Y" in s27.instances[i].conns)
+
+
+class TestBitIndices:
+    @staticmethod
+    def naive(bits: int) -> list[int]:
+        return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+    def test_fixed_masks(self):
+        import random
+
+        rng = random.Random(4500)
+        for bits in (0, 1, 1 << 4499, rng.getrandbits(4500),
+                     (1 << 4500) - 1):
+            assert _bit_indices(bits) == self.naive(bits)
+
+    def test_random_integers(self):
+        import random
+
+        rng = random.Random(7)
+        for _ in range(300):
+            bits = rng.getrandbits(rng.randrange(1, 200))
+            assert _bit_indices(bits) == self.naive(bits)

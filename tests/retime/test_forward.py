@@ -146,3 +146,28 @@ class TestBalanceMode:
         bal_tol = sigma_tolerance(balanced.module, balanced.clocks,
                                   samples=3)
         assert bal_tol >= lazy_tol
+
+
+class TestAnalysisCount:
+    @pytest.mark.parametrize("balance", [False, True])
+    def test_no_move_analyzes_once(self, monkeypatch, balance):
+        from repro.circuits import build, spec
+        from repro.retime import forward
+
+        bench = spec("s1196")
+        mapped = synthesize(build("s1196"), FDSOI28).module
+        conv = convert_to_three_phase(mapped, FDSOI28, period=bench.period)
+        calls = []
+        real = forward.analyze
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(forward, "analyze", counting)
+        rr = retime_forward(conv.module, conv.clocks, FDSOI28,
+                            balance=balance)
+        assert rr.moves == 0
+        assert len(calls) == 1
+        assert rr.timing_after is rr.timing_before
+        assert rr.timing_after == real(conv.module, conv.clocks)

@@ -182,3 +182,45 @@ class TestResultModel:
         assert payload["summary"]["error"] == 0
         assert payload["results"][0]["equivalent"] is True
         assert payload["results"][0]["summary"]["proven"] == len(result.cones)
+
+
+class TestOutputPortNets:
+    """check() reads output-port nets from one port_nets() map per module."""
+
+    @pytest.fixture(scope="class", params=["s1196", "des3"])
+    def pair(self, request):
+        from repro.circuits import build
+
+        ff = build(request.param)
+        conv, clocks = convert_style(ff, "3p")
+        return ff, conv, clocks
+
+    def test_map_agrees_with_net_of_port(self, pair):
+        ff, conv, _ = pair
+        for module in (ff, conv):
+            nets = module.port_nets()
+            assert module.output_ports()
+            for port in module.output_ports():
+                assert nets[port] == module.net_of_port(port).name
+
+    def test_verdicts_match_per_port_lookup(self, pair, monkeypatch):
+        from repro.netlist.core import Module
+
+        ff, conv, clocks = pair
+        mapped = check_equivalence(ff, conv, "3p", clocks)
+        # an empty map sends every output port through net_of_port
+        monkeypatch.setattr(Module, "port_nets", lambda self: {})
+        scanned = check_equivalence(ff, conv, "3p", clocks)
+        assert mapped == scanned
+        assert mapped.proven == len(mapped.cones)
+
+    def test_unconnected_output_port_still_raises(self, s1196, s1196_3p):
+        from repro.netlist.core import NetlistError, PortRef
+
+        conv, clocks = s1196_3p
+        broken = conv.copy()
+        port = sorted(broken.output_ports())[0]
+        broken.net_of_port(port).loads.discard(PortRef(port))
+        assert port not in broken.port_nets()
+        with pytest.raises(NetlistError, match="not connected"):
+            check_equivalence(s1196, broken, "3p", clocks)
